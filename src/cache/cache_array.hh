@@ -5,12 +5,21 @@
  * The line type is a template parameter so the L1 (MESI state per line) and
  * the LLC (dirty/persistent bits plus directory info) share the indexing,
  * lookup, and victim-selection machinery.
+ *
+ * Lines are constructed lazily. A set hands out its ways in order, so the
+ * ways a set has ever used are a prefix of it; each set records the
+ * length of that prefix and the ways past it are raw storage that nothing
+ * reads. Building an array therefore writes one count per set instead of
+ * value-initialising every line and its 64-byte payload, which made cache
+ * construction the largest part of building a small machine.
  */
 
 #ifndef BBB_CACHE_CACHE_ARRAY_HH
 #define BBB_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -32,6 +41,10 @@ struct CacheLineBase
 template <typename Line>
 class CacheArray
 {
+    // Unused ways are never constructed, so none may need destroying.
+    static_assert(std::is_trivially_destructible_v<Line>,
+                  "cache lines must be trivially destructible");
+
   public:
     CacheArray(std::uint64_t size_bytes, unsigned assoc,
                ReplPolicy policy = ReplPolicy::Lru, std::uint64_t seed = 7)
@@ -43,12 +56,14 @@ class CacheArray
                    "cache size %llu not divisible into %u-way sets",
                    (unsigned long long)size_bytes, assoc);
         _sets = lines / assoc;
-        _lines.resize(lines);
+        _lines = Storage(std::allocator<Line>().allocate(lines),
+                         Deallocate{lines});
+        _used.assign(_sets, 0);
     }
 
     std::uint64_t numSets() const { return _sets; }
     unsigned assoc() const { return _assoc; }
-    std::uint64_t numLines() const { return _lines.size(); }
+    std::uint64_t numLines() const { return _sets * _assoc; }
 
     /** Set index of a block address. */
     std::uint64_t
@@ -62,8 +77,9 @@ class CacheArray
     find(Addr block)
     {
         block = blockAlign(block);
-        Line *base = setBase(setIndex(block));
-        for (unsigned w = 0; w < _assoc; ++w) {
+        std::uint64_t set = setIndex(block);
+        Line *base = setBase(set);
+        for (unsigned w = 0, used = _used[set]; w < used; ++w) {
             Line &l = base[w];
             if (l.valid && l.block == block)
                 return &l;
@@ -110,7 +126,18 @@ class CacheArray
     Line &
     victimWhere(Addr block, Pred eligible)
     {
-        Line *base = setBase(setIndex(blockAlign(block)));
+        std::uint64_t set = setIndex(blockAlign(block));
+        Line *base = setBase(set);
+        unsigned &used = _used[set];
+        // Every way past the used prefix is invalid, so the first invalid
+        // way is in the prefix or is the first way after it.
+        if (used < _assoc) {
+            for (unsigned w = 0; w < used; ++w) {
+                if (!base[w].valid)
+                    return base[w];
+            }
+            return *std::construct_at(&base[used++]);
+        }
         Line *best = nullptr;
         Line *fallback = &base[0];
         unsigned protected_ways = 0;
@@ -158,9 +185,9 @@ class CacheArray
     indexOf(const Line &line) const
     {
         const Line *p = &line;
-        BBB_ASSERT(p >= _lines.data() && p < _lines.data() + _lines.size(),
+        BBB_ASSERT(p >= _lines.get() && p < _lines.get() + numLines(),
                    "indexOf: line not part of this array");
-        return static_cast<std::size_t>(p - _lines.data());
+        return static_cast<std::size_t>(p - _lines.get());
     }
 
     /** Apply @p fn to every valid line. Templated (not std::function) so
@@ -169,9 +196,12 @@ class CacheArray
     void
     forEachValid(Fn &&fn)
     {
-        for (Line &l : _lines) {
-            if (l.valid)
-                fn(l);
+        for (std::uint64_t set = 0; set < _sets; ++set) {
+            Line *base = setBase(set);
+            for (unsigned w = 0; w < _used[set]; ++w) {
+                if (base[w].valid)
+                    fn(base[w]);
+            }
         }
     }
 
@@ -179,23 +209,36 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const Line &l : _lines) {
-            if (l.valid)
-                fn(l);
-        }
+        const_cast<CacheArray *>(this)->forEachValid(
+            [&fn](const Line &l) { fn(l); });
     }
 
   private:
+    /** Frees the line storage without destroying lines (see above). */
+    struct Deallocate
+    {
+        std::size_t lines;
+
+        void
+        operator()(Line *p) const
+        {
+            std::allocator<Line>().deallocate(p, lines);
+        }
+    };
+    using Storage = std::unique_ptr<Line[], Deallocate>;
+
     Line *
     setBase(std::uint64_t set)
     {
-        return &_lines[set * _assoc];
+        return _lines.get() + set * _assoc;
     }
 
     std::uint64_t _sets;
     unsigned _assoc;
     ReplStamper _stamper;
-    std::vector<Line> _lines;
+    Storage _lines;
+    /** Per set: ways [0, _used[set]) are constructed lines. */
+    std::vector<unsigned> _used;
 };
 
 } // namespace bbb

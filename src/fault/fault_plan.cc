@@ -1,7 +1,9 @@
 #include "fault/fault_plan.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -58,6 +60,33 @@ degradePolicyList()
     return {DegradePolicy::None, DegradePolicy::DrainOldest,
             DegradePolicy::Throttle, DegradePolicy::RefuseDirty};
 }
+
+namespace
+{
+
+/**
+ * The whole of @p val as a non-negative integer no larger than @p max.
+ * Integer keys do not go through strtod: a double holds only 53 bits,
+ * so a printed 64-bit fault_seed would replay as a different seed.
+ */
+std::uint64_t
+parseCount(const std::string &val, const std::string &pair,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    // strtoull would accept (and wrap) a sign, and skip leading spaces.
+    if (val.empty() || val.find_first_not_of("0123456789") != val.npos) {
+        fatal("fault-plan value '%s' is not a non-negative integer",
+              pair.c_str());
+    }
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long num = std::strtoull(val.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0' || num > max)
+        fatal("fault-plan value '%s' is out of range", pair.c_str());
+    return num;
+}
+
+} // namespace
 
 std::string
 FaultPlan::toString() const
@@ -122,7 +151,8 @@ FaultPlan::parse(const std::string &token)
         }
         std::string key = pair.substr(0, eq);
         std::string val = pair.substr(eq + 1);
-        // String-valued keys come before the numeric conversion.
+        // String- and integer-valued keys come before the floating-point
+        // conversion.
         if (key == "trace") {
             plan.trace = val;
             continue;
@@ -138,6 +168,19 @@ FaultPlan::parse(const std::string &token)
             plan.media = val;
             continue;
         }
+        if (key == "media_retries") {
+            plan.media_retries = static_cast<unsigned>(parseCount(
+                val, pair, std::numeric_limits<unsigned>::max()));
+            continue;
+        }
+        if (key == "recrash_blocks") {
+            plan.recrash_after_blocks = parseCount(val, pair);
+            continue;
+        }
+        if (key == "fault_seed") {
+            plan.fault_seed = parseCount(val, pair);
+            continue;
+        }
         char *end = nullptr;
         double num = std::strtod(val.c_str(), &end);
         if (end == val.c_str() || *end != '\0')
@@ -149,12 +192,8 @@ FaultPlan::parse(const std::string &token)
             if (num < 0.0 || num >= 1.0)
                 fatal("media_p must be in [0, 1): %s", val.c_str());
             plan.media_fail_p = num;
-        } else if (key == "media_retries") {
-            plan.media_retries = static_cast<unsigned>(num);
         } else if (key == "media_backoff_ns") {
             plan.media_backoff = nsToTicks(num);
-        } else if (key == "recrash_blocks") {
-            plan.recrash_after_blocks = static_cast<std::uint64_t>(num);
         } else if (key == "recrash_factor") {
             if (num < 0.0 || num > 1.0)
                 fatal("recrash_factor must be in [0, 1]: %s", val.c_str());
@@ -163,8 +202,6 @@ FaultPlan::parse(const std::string &token)
             plan.battery_cap_j = num;
         } else if (key == "stored_j") {
             plan.battery_stored_j = num;
-        } else if (key == "fault_seed") {
-            plan.fault_seed = static_cast<std::uint64_t>(num);
         } else {
             fatal("unknown fault-plan key '%s' in '%s'", key.c_str(),
                   token.c_str());

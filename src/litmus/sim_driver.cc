@@ -191,17 +191,20 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     for (std::size_t i = 0; res.ok && i < steps.size(); ++i) {
         Step s = steps[i];
         unsigned t = s.thread;
-        std::string at = " at step " + std::to_string(i) + " (" +
-                         stepName(s) + ") of schedule [" +
-                         scheduleString(steps) + "]";
+        // Built only on failure: formatting the whole schedule at every
+        // step made each prefix quadratic in its length.
+        auto at = [&]() {
+            return " at step " + std::to_string(i) + " (" + stepName(s) +
+                   ") of schedule [" + scheduleString(steps) + "]";
+        };
         if (t >= prog.numThreads()) {
             fail("schedule names thread " + std::to_string(t) +
-                 " beyond the program" + at);
+                 " beyond the program" + at());
             break;
         }
         if (s.drain) {
             if (!sys.core(t).storeBuffer().retireOne()) {
-                fail("store buffer empty on a drain step" + at +
+                fail("store buffer empty on a drain step" + at() +
                      " — the model says an entry should be buffered");
                 break;
             }
@@ -210,21 +213,21 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
             continue;
         }
         if (!gate.parked[t] || !sys.core(t).hasParkedOp()) {
-            fail("no op parked" + at +
+            fail("no op parked" + at() +
                  " — the simulator thread is behind the model (stuck "
                  "on a wait the model does not have)");
             break;
         }
         std::size_t idx = released[t];
         if (committed[t].size() != idx + 1) {
-            fail("commit-order ledger out of sync" + at);
+            fail("commit-order ledger out of sync" + at());
             break;
         }
         const MOp &expect = prog.threads[t][idx];
         Addr want = expect.var >= 0 ? addr[expect.var] : kBadAddr;
         if (!opMatches(committed[t][idx], expect, want)) {
             fail("parked op does not match the program's op " +
-                 std::to_string(idx) + at);
+                 std::to_string(idx) + at());
             break;
         }
         ++released[t];

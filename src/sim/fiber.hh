@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace bbb
 {
@@ -69,7 +68,10 @@ class Fiber
     void *_caller_sp = nullptr;
     ucontext_t _context;
     ucontext_t _caller;
-    std::vector<unsigned char> _stack;
+    // Left uninitialised: a stack is written before it is read, and
+    // zero-filling 256 KiB per thread dominated building a small machine.
+    std::unique_ptr<unsigned char[]> _stack;
+    std::size_t _stack_bytes;
     Body _body;
     bool _started = false;
     bool _finished = false;

@@ -187,12 +187,18 @@ MetricSnapshot::toCsv() const
 void
 StatGroup::accept(StatVisitor &v) const
 {
+    auto qualified = [this](std::string_view stat) {
+        std::string full = _name;
+        full += '.';
+        full += stat;
+        return full;
+    };
     for (const auto &c : _counters)
-        v.counter(_name + "." + c.name, c.desc, *c.stat);
+        v.counter(qualified(c.name), c.desc, *c.stat);
     for (const auto &a : _averages)
-        v.average(_name + "." + a.name, a.desc, *a.stat);
+        v.average(qualified(a.name), a.desc, *a.stat);
     for (const auto &h : _histograms)
-        v.histogram(_name + "." + h.name, h.desc, *h.stat);
+        v.histogram(qualified(h.name), h.desc, *h.stat);
 }
 
 namespace
@@ -205,21 +211,21 @@ class TextDumpVisitor : public StatVisitor
     explicit TextDumpVisitor(std::ostream &os) : _os(os) {}
 
     void
-    counter(const std::string &name, const std::string &desc,
+    counter(const std::string &name, std::string_view desc,
             const StatCounter &c) override
     {
         line(name, static_cast<double>(c.value()), desc);
     }
 
     void
-    average(const std::string &name, const std::string &desc,
+    average(const std::string &name, std::string_view desc,
             const StatAverage &a) override
     {
         line(name, a.mean(), desc);
     }
 
     void
-    histogram(const std::string &name, const std::string &desc,
+    histogram(const std::string &name, std::string_view desc,
               const StatHistogram &h) override
     {
         line(name + "::samples", static_cast<double>(h.samples()), desc);
@@ -229,7 +235,7 @@ class TextDumpVisitor : public StatVisitor
 
   private:
     void
-    line(const std::string &n, double v, const std::string &d)
+    line(const std::string &n, double v, std::string_view d)
     {
         _os << std::left << std::setw(44) << n << " " << std::right
             << std::setw(16) << v;
@@ -251,14 +257,14 @@ class SnapshotVisitor : public StatVisitor
     }
 
     void
-    counter(const std::string &name, const std::string &,
+    counter(const std::string &name, std::string_view,
             const StatCounter &c) override
     {
         _snap.setCount(name, c.value());
     }
 
     void
-    average(const std::string &name, const std::string &,
+    average(const std::string &name, std::string_view,
             const StatAverage &a) override
     {
         _snap.setReal(name + ".sum", a.sum());
@@ -266,7 +272,7 @@ class SnapshotVisitor : public StatVisitor
     }
 
     void
-    histogram(const std::string &name, const std::string &,
+    histogram(const std::string &name, std::string_view,
               const StatHistogram &h) override
     {
         _snap.setCount(name + ".samples", h.samples());
@@ -334,7 +340,9 @@ StatRegistry::group(const std::string &name)
               name.c_str());
     }
     it = _groups.emplace(name, StatGroup(name)).first;
-    _order.push_back(name);
+    if (_order.empty())
+        _order.reserve(32); // a machine registers ~20 groups
+    _order.push_back(&it->second);
     return it->second;
 }
 
@@ -355,8 +363,8 @@ StatRegistry::find(const std::string &name) const
 void
 StatRegistry::accept(StatVisitor &v) const
 {
-    for (const auto &name : _order)
-        _groups.at(name).accept(v);
+    for (const StatGroup *g : _order)
+        g->accept(v);
 }
 
 MetricSnapshot
@@ -371,8 +379,8 @@ StatRegistry::snapshot(bool histogram_buckets) const
 void
 StatRegistry::dumpAll(std::ostream &os) const
 {
-    for (const auto &name : _order)
-        _groups.at(name).dump(os);
+    for (const StatGroup *g : _order)
+        g->dump(os);
 }
 
 void

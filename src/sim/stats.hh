@@ -25,6 +25,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -142,11 +143,11 @@ class StatVisitor
   public:
     virtual ~StatVisitor() = default;
 
-    virtual void counter(const std::string &name, const std::string &desc,
+    virtual void counter(const std::string &name, std::string_view desc,
                          const StatCounter &c) = 0;
-    virtual void average(const std::string &name, const std::string &desc,
+    virtual void average(const std::string &name, std::string_view desc,
                          const StatAverage &a) = 0;
-    virtual void histogram(const std::string &name, const std::string &desc,
+    virtual void histogram(const std::string &name, std::string_view desc,
                            const StatHistogram &h) = 0;
 };
 
@@ -259,9 +260,29 @@ class MetricSnapshot
 };
 
 /**
+ * A stat name or description. The constructor is consteval, so only a
+ * compile-time string (in practice a literal) converts to it: the group
+ * keeps the pointer without copying, and nothing it points at can go
+ * out of scope.
+ */
+class StatText
+{
+  public:
+    consteval StatText(const char *text) : _text(text) {}
+
+    std::string_view view() const { return _text; }
+
+  private:
+    std::string_view _text;
+};
+
+/**
  * A named collection of statistics belonging to one component. The group
  * does not own the stats; components keep them as members and register
- * pointers, so hot-path updates stay a plain increment.
+ * pointers, so hot-path updates stay a plain increment. Registration
+ * copies no strings (see StatText) and takes one allocation per stat
+ * kind for a group of typical size, since every machine registers ~170
+ * stats when it is built.
  */
 class StatGroup
 {
@@ -269,24 +290,21 @@ class StatGroup
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
     void
-    addCounter(const std::string &stat_name, StatCounter *c,
-               const std::string &desc = "")
+    addCounter(StatText stat_name, StatCounter *c, StatText desc = "")
     {
-        _counters.push_back({stat_name, desc, c});
+        add(_counters, stat_name, desc, c, 32);
     }
 
     void
-    addAverage(const std::string &stat_name, StatAverage *a,
-               const std::string &desc = "")
+    addAverage(StatText stat_name, StatAverage *a, StatText desc = "")
     {
-        _averages.push_back({stat_name, desc, a});
+        add(_averages, stat_name, desc, a, 4);
     }
 
     void
-    addHistogram(const std::string &stat_name, StatHistogram *h,
-                 const std::string &desc = "")
+    addHistogram(StatText stat_name, StatHistogram *h, StatText desc = "")
     {
-        _histograms.push_back({stat_name, desc, h});
+        add(_histograms, stat_name, desc, h, 4);
     }
 
     const std::string &name() const { return _name; }
@@ -307,10 +325,22 @@ class StatGroup
     template <typename T>
     struct Named
     {
-        std::string name;
-        std::string desc;
+        std::string_view name;
+        std::string_view desc;
         T *stat;
     };
+
+    /** Append, reserving @p first_capacity on the first registration
+     *  rather than growing one element at a time. */
+    template <typename T>
+    static void
+    add(std::vector<Named<T>> &v, StatText name, StatText desc, T *stat,
+        std::size_t first_capacity)
+    {
+        if (v.empty())
+            v.reserve(first_capacity);
+        v.push_back({name.view(), desc.view(), stat});
+    }
 
     std::string _name;
     std::vector<Named<StatCounter>> _counters;
@@ -322,6 +352,12 @@ class StatGroup
 class StatRegistry
 {
   public:
+    StatRegistry() = default;
+    // _order points into _groups' nodes; a copy's would point into the
+    // original's.
+    StatRegistry(const StatRegistry &) = delete;
+    StatRegistry &operator=(const StatRegistry &) = delete;
+
     /**
      * Create the group with the given name. Registering the same group
      * name twice is fatal: the old create-or-fetch semantics silently
@@ -355,7 +391,8 @@ class StatRegistry
     std::uint64_t lookup(const std::string &g, const std::string &s) const;
 
   private:
-    std::vector<std::string> _order;
+    /** Groups in registration order (map nodes never move). */
+    std::vector<StatGroup *> _order;
     std::map<std::string, StatGroup> _groups;
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "cache/hierarchy.hh"
@@ -112,6 +113,28 @@ TEST(CacheArray, ForEachValidVisitsExactlyValidLines)
     std::set<Addr> seen;
     a.forEachValid([&](Line &l) { seen.insert(l.block); });
     EXPECT_EQ(seen, (std::set<Addr>{0, kBlockSize}));
+}
+
+TEST(CacheArray, VictimIsTheLowestInvalidWay)
+{
+    // Lines are built lazily, one way at a time; the victim must still
+    // be the first invalid way, holes before untouched ways.
+    CacheArray<Line> a(4_KiB, 4);
+    const std::size_t base = a.setIndex(conflicting(a, 0)) * a.assoc();
+    for (unsigned i = 0; i < 3; ++i) {
+        Line &v = a.victim(conflicting(a, i));
+        EXPECT_EQ(a.indexOf(v), base + i);
+        a.fill(v, conflicting(a, i));
+    }
+    a.invalidate(*a.find(conflicting(a, 1)));
+    Line &hole = a.victim(conflicting(a, 3));
+    EXPECT_EQ(a.indexOf(hole), base + 1);
+    a.fill(hole, conflicting(a, 3));
+    EXPECT_EQ(a.indexOf(a.victim(conflicting(a, 4))), base + 3);
+
+    std::vector<std::size_t> order;
+    a.forEachValid([&](Line &l) { order.push_back(a.indexOf(l)); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{base, base + 1, base + 2}));
 }
 
 TEST(CacheArray, VictimWhereProtectsIneligible)

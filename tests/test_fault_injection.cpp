@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/system.hh"
 #include "energy/energy_model.hh"
 #include "fault/campaign.hh"
@@ -77,6 +79,54 @@ TEST(FaultPlan, RoundTripsThroughToString)
     }
     EXPECT_EQ(FaultPlan{}.toString(), "none");
     EXPECT_TRUE(FaultPlan::parse("drained-battery").enabled());
+}
+
+TEST(FaultPlan, IntegerKeysRoundTripExactlyAbove2To53)
+{
+    // A double holds 53 bits, so these seeds only replay exactly if the
+    // integer keys never pass through strtod. The first two are the fault
+    // seeds of the campaign's known oracle violators (btree under
+    // drained-battery, skiplist under dying-media).
+    const std::uint64_t seeds[] = {
+        16363188499140489826ull, 9167061335060537443ull,
+        (1ull << 53) + 1, std::numeric_limits<std::uint64_t>::max()};
+    for (std::uint64_t seed : seeds) {
+        FaultPlan plan;
+        plan.battery_j = 2e-6;
+        plan.fault_seed = seed;
+        plan.recrash_after_blocks = (1ull << 60) + 3;
+        FaultPlan parsed = FaultPlan::parse(plan.toString());
+        EXPECT_EQ(parsed.fault_seed, seed) << plan.toString();
+        EXPECT_EQ(parsed, plan) << plan.toString();
+    }
+    EXPECT_EQ(FaultPlan::parse("battery_j=2e-06,fault_seed="
+                               "16363188499140489826")
+                  .fault_seed,
+              16363188499140489826ull);
+    EXPECT_EQ(FaultPlan::parse("media_p=0.2,media_retries=1,"
+                               "fault_seed=9167061335060537443")
+                  .fault_seed,
+              9167061335060537443ull);
+}
+
+TEST(FaultPlan, IntegerKeysRejectNegativeFractionalAndOverflow)
+{
+    const char *bad[] = {"fault_seed=-1",
+                         "fault_seed=1.5",
+                         "fault_seed=1e3",
+                         "fault_seed=",
+                         "fault_seed= 7",
+                         "fault_seed=+7",
+                         "fault_seed=18446744073709551616",
+                         "media_retries=-2",
+                         "media_retries=2.5",
+                         "media_retries=4294967296",
+                         "recrash_blocks=0.5"};
+    for (const char *token : bad) {
+        EXPECT_EXIT(FaultPlan::parse(token), ::testing::ExitedWithCode(1),
+                    "fault-plan value")
+            << token;
+    }
 }
 
 TEST(BatteryBudget, ChargesUntilExhaustedThenRefuses)

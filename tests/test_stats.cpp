@@ -157,21 +157,21 @@ struct NameCollector : StatVisitor
     std::vector<std::string> names;
 
     void
-    counter(const std::string &n, const std::string &,
+    counter(const std::string &n, std::string_view,
             const StatCounter &) override
     {
         names.push_back(n);
     }
 
     void
-    average(const std::string &n, const std::string &,
+    average(const std::string &n, std::string_view,
             const StatAverage &) override
     {
         names.push_back(n);
     }
 
     void
-    histogram(const std::string &n, const std::string &,
+    histogram(const std::string &n, std::string_view,
               const StatHistogram &) override
     {
         names.push_back(n);
